@@ -25,13 +25,13 @@
 //!   budget under the bounded fault schedules the checker drives.
 
 use crate::scenario::CheckConfig;
+use cenju4_des::FxHashMap;
 use cenju4_directory::{MemState, NodeId};
 use cenju4_obs::SpanCollector;
 use cenju4_protocol::{
     Addr, CacheState, Engine, FaultInjection, MemOp, Notification, ProtocolId, RecoveryError,
 };
 use core::fmt;
-use std::collections::HashMap;
 
 /// A falsified invariant.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -49,7 +49,9 @@ impl fmt::Display for Violation {
 }
 
 /// Running oracle state: the workload's blocks plus the store/load
-/// history needed by the data-freshness check.
+/// history needed by the data-freshness check. Cloned with the engine at
+/// every exploration checkpoint.
+#[derive(Clone)]
 pub struct OracleState {
     blocks: Vec<Addr>,
     nodes: u16,
@@ -57,11 +59,11 @@ pub struct OracleState {
     /// exact freshness/agreement checks to membership tests (see below).
     coherence: ProtocolId,
     /// Value of the last *completed* store per block, in dispatch order.
-    last_store: HashMap<Addr, u64>,
+    last_store: FxHashMap<Addr, u64>,
     /// Every value a *completed* store wrote per block. Store values are
     /// globally unique (`txn + 1`), so membership in this set still
     /// rejects fabricated or corrupted data.
-    store_values: HashMap<Addr, Vec<u64>>,
+    store_values: FxHashMap<Addr, Vec<u64>>,
     /// Whether the scenario deliberately kills a node with the recovery
     /// layer armed. Under that regime `NodeUnavailable` escalations are
     /// the *correct* outcome for transactions stranded on the dead node,
@@ -82,8 +84,8 @@ impl OracleState {
             blocks: cfg.block_addrs(),
             nodes: cfg.nodes,
             coherence: cfg.coherence,
-            last_store: HashMap::new(),
-            store_values: HashMap::new(),
+            last_store: FxHashMap::default(),
+            store_values: FxHashMap::default(),
             tolerate_node_down: cfg.recovery && cfg.fault == FaultInjection::NodeDown,
             completed: 0,
             abandoned: 0,

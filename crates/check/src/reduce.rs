@@ -307,9 +307,43 @@ struct Job {
     prefix: Vec<usize>,
 }
 
-/// A replayable engine position: the engine, its oracles, and the step
-/// count, rebuilt from scratch on every backtrack (the engine is not
-/// cloneable — observers are boxed trait objects).
+/// A saved exploration position: the engine and the oracle history that
+/// goes with it.
+struct Checkpoint {
+    eng: Engine,
+    oracle: OracleState,
+}
+
+impl Checkpoint {
+    fn new(eng: &Engine, oracle: &OracleState) -> Checkpoint {
+        Checkpoint {
+            eng: eng
+                .fork()
+                .expect("checker engines carry only forkable observers"),
+            oracle: oracle.clone(),
+        }
+    }
+
+    fn fork(&self) -> Checkpoint {
+        Checkpoint::new(&self.eng, &self.oracle)
+    }
+
+    /// The position to resume the next branch from: a fork while `more`
+    /// branches still need `slot`, the checkpoint itself for the last.
+    fn resume(slot: &mut Option<Checkpoint>, more: bool) -> Checkpoint {
+        let cp = if more {
+            slot.as_ref().map(Checkpoint::fork)
+        } else {
+            slot.take()
+        };
+        cp.expect("a state with branches left holds a checkpoint")
+    }
+}
+
+/// The engine position the search stands on, with its oracles. The DFS
+/// moves it by firing events and backtracks by restoring a
+/// [`Checkpoint`]; replay from a fresh engine is kept for the places
+/// whose input is a pick list (job roots, lasso unrolling).
 struct Stepper {
     cfg: CheckConfig,
     blocks: Vec<cenju4_protocol::Addr>,
@@ -329,9 +363,15 @@ impl Stepper {
         }
     }
 
-    fn reset(&mut self) {
-        self.eng = self.cfg.engine();
-        self.oracle = OracleState::new(&self.cfg);
+    /// A checkpoint of the current position.
+    fn checkpoint(&self) -> Checkpoint {
+        Checkpoint::new(&self.eng, &self.oracle)
+    }
+
+    /// Moves the search back to a checkpointed position.
+    fn restore(&mut self, cp: Checkpoint) {
+        self.eng = cp.eng;
+        self.oracle = cp.oracle;
     }
 
     /// The ready events, as (index into `pending_events`, event).
@@ -357,13 +397,19 @@ impl Stepper {
     }
 
     /// Fires the ready event at ready-position `pick`, running the
-    /// step oracles. `Err` carries the violation (protocol panics are
-    /// converted, like `run_one`); after an `Err` the engine may be
-    /// poisoned — `reset` before reuse.
+    /// step oracles; see [`Stepper::fire_pending`].
     fn fire(&mut self, pick: usize) -> Result<(), (Violation, String)> {
+        let ready = self.ready();
+        self.fire_pending(ready[pick.min(ready.len() - 1)].0)
+    }
+
+    /// Fires the event at index `idx` of `pending_events` (the caller
+    /// has already read the ready set), running the step oracles. `Err`
+    /// carries the violation (protocol panics are converted, like
+    /// `run_one`); after an `Err` the engine may be poisoned — restore a
+    /// checkpoint or replay before reuse.
+    fn fire_pending(&mut self, idx: usize) -> Result<(), (Violation, String)> {
         let result = catch_unwind(AssertUnwindSafe(|| {
-            let ready = self.ready();
-            let idx = ready[pick.min(ready.len() - 1)].0;
             let notes = self.eng.run_pending(idx).expect("ready event vanished");
             if let Some(v) = self.oracle.note(&notes, &self.eng) {
                 return Some(v);
@@ -417,7 +463,8 @@ impl Stepper {
 
     /// Replays a known-green pick prefix from the initial state.
     fn replay_green(&mut self, picks: &[usize]) {
-        self.reset();
+        self.eng = self.cfg.engine();
+        self.oracle = OracleState::new(&self.cfg);
         for &p in picks {
             self.fire(p)
                 .expect("a previously green prefix replayed with a violation");
@@ -450,12 +497,15 @@ struct Frame {
     next: usize,
     /// Virtual clock at this state, for the commute time condition.
     now: SimTime,
+    /// This state, saved before its first branch fires when another
+    /// branch will fire after it; the last branch moves it out.
+    checkpoint: Option<Checkpoint>,
 }
 
-/// Explores the subtree rooted at `prefix` depth-first. Backtracking
-/// rebuilds the engine by replay; with `params.reduce`, maintains a
-/// fingerprint table (subset rule), sleep sets, and on-path cycle
-/// detection.
+/// Explores the subtree rooted at `prefix` depth-first. The subtree root
+/// is reached by replay; backtracking restores the checkpoint of the
+/// frame it returns to. With `params.reduce`, maintains a fingerprint
+/// table (subset rule), sleep sets, and on-path cycle detection.
 fn dfs(params: &DfsParams, prefix: &[usize]) -> DfsOutcome {
     let cfg = params.cfg();
     let mut out = DfsOutcome {
@@ -472,7 +522,8 @@ fn dfs(params: &DfsParams, prefix: &[usize]) -> DfsOutcome {
     // Picks from the subtree root to the engine's current state.
     let mut path: Vec<usize> = Vec::new();
     // Whether the engine has drifted off the top-of-stack state (after
-    // any backtrack) and must be rebuilt by replay before firing.
+    // any backtrack, or a panic that poisoned it) and must be restored
+    // from that frame's checkpoint before firing.
     let mut dirty = false;
     // Sleep set to attach to the state the engine currently sits on.
     let mut incoming_sleep: FxHashSet<u64> = FxHashSet::default();
@@ -583,6 +634,7 @@ fn dfs(params: &DfsParams, prefix: &[usize]) -> DfsOutcome {
                 sleep: std::mem::take(&mut incoming_sleep),
                 next: 0,
                 now: st.now(),
+                checkpoint: None,
             });
             continue;
         }
@@ -607,7 +659,7 @@ fn dfs(params: &DfsParams, prefix: &[usize]) -> DfsOutcome {
             continue;
         }
         frame.next = b + 1;
-        let chosen = frame.ready[b].1.clone();
+        let (idx, chosen) = frame.ready[b].clone();
         let child_sleep: FxHashSet<u64> = if params.reduce {
             frame
                 .ready
@@ -623,15 +675,20 @@ fn dfs(params: &DfsParams, prefix: &[usize]) -> DfsOutcome {
         if params.reduce {
             frame.sleep.insert(chosen.content);
         }
+        // Whether a later sibling will still fire from this state (the
+        // skip loop above passes exactly the unslept ones).
+        let more = frame.ready[b + 1..]
+            .iter()
+            .any(|(_, e)| !frame.sleep.contains(&e.content));
         if dirty {
-            let mut picks = prefix.to_vec();
-            picks.extend_from_slice(&path);
-            st.replay_green(&picks);
+            st.restore(Checkpoint::resume(&mut frame.checkpoint, more));
             dirty = false;
+        } else if more && frame.checkpoint.is_none() {
+            frame.checkpoint = Some(st.checkpoint());
         }
         path.push(b);
         out.stats.transitions += 1;
-        match st.fire(b) {
+        match st.fire_pending(idx) {
             Ok(()) => {
                 incoming_sleep = child_sleep;
                 entering = true;
@@ -639,10 +696,9 @@ fn dfs(params: &DfsParams, prefix: &[usize]) -> DfsOutcome {
             Err((v, trace)) => {
                 record_violation!(v, trace);
                 path.pop();
+                // The engine may be poisoned after a panic; the next
+                // branch restores a checkpoint.
                 dirty = true;
-                // The engine may be poisoned after a panic; the dirty
-                // replay rebuilds it from scratch.
-                st.reset();
             }
         }
     }
@@ -769,23 +825,25 @@ fn expand_frontier(
             }
             continue;
         }
-        let arity = st.ready().len();
-        for b in 0..arity {
+        let ready = st.ready();
+        let mut base = (ready.len() > 1).then(|| st.checkpoint());
+        for (b, &(idx, _)) in ready.iter().enumerate() {
+            if b > 0 {
+                st.restore(Checkpoint::resume(&mut base, b + 1 < ready.len()));
+            }
             // Fire the branch to validate it (a violation one step below
             // the frontier must surface here, not silently become a job
             // whose prefix fails to replay green).
-            st.replay_green(&job.prefix);
             stats.transitions += 1;
             let mut child_prefix = job.prefix.clone();
             child_prefix.push(b);
-            match st.fire(b) {
+            match st.fire_pending(idx) {
                 Ok(()) => queue.push_back(Job {
                     prefix: child_prefix,
                 }),
                 Err((v, trace)) => {
                     if params.collect_all {
                         params.frontier_oracles.lock().unwrap().insert(v.oracle);
-                        st.reset();
                     } else {
                         return (stats, Some((child_prefix, v, trace)), Vec::new());
                     }

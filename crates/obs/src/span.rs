@@ -134,6 +134,10 @@ impl Span {
 /// by quiescence — [`SpanCollector::open_span_count`] doubles as a
 /// transaction-leak / starvation detector (the checker's quiescence
 /// oracle asserts it is zero).
+///
+/// The collector forks with its engine (`Engine::fork`): the copy holds
+/// every span, open table and metric, and goes on independently.
+#[derive(Clone)]
 pub struct SpanCollector {
     topo: Topology,
     spans: Vec<Span>,
@@ -488,6 +492,10 @@ impl Observer for SpanCollector {
 
     fn on_node_rejoined(&mut self, _at: SimTime, _node: NodeId) {
         self.metrics.incr("recovery.node-rejoins");
+    }
+
+    fn fork(&self) -> Option<Box<dyn Observer>> {
+        Some(Box::new(self.clone()))
     }
 }
 

@@ -49,13 +49,27 @@ impl fmt::Display for CacheState {
     }
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct Line {
     key: u64,
     state: CacheState,
     stamp: u64,
     value: u64,
 }
+
+/// Key of an empty way. Real keys pack a 16-bit home above a 32-bit
+/// block, so they never reach it.
+const FREE: u64 = u64::MAX;
+
+/// Set-index entry of a set that has never held a line.
+const UNTOUCHED: u32 = u32::MAX;
+
+const EMPTY_WAY: Line = Line {
+    key: FREE,
+    state: CacheState::Invalid,
+    stamp: 0,
+    value: 0,
+};
 
 /// An eviction produced by a cache fill.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -76,6 +90,13 @@ pub struct Victim {
 /// Cenju-4 pairs each R10000 with a 1 MB secondary cache; the default
 /// geometry is 1 MB / 128 B lines / 4-way (8192 lines, 2048 sets).
 ///
+/// Storage is two flat vectors, so building and cloning a cache costs
+/// two allocations whatever its geometry: a dense per-set index, and an
+/// arena that holds `assoc` ways for each set that has ever been filled
+/// (a way whose key is `FREE` is empty). Simulated workloads touch a
+/// small share of the sets, and the model checker clones whole engines
+/// at every branching state.
+///
 /// # Examples
 ///
 /// ```
@@ -90,7 +111,10 @@ pub struct Victim {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Cache {
-    sets: Vec<Vec<Line>>,
+    /// Per set: the arena slot of its ways, or `UNTOUCHED`.
+    index: Vec<u32>,
+    /// `assoc` consecutive ways per touched set.
+    ways: Vec<Line>,
     assoc: usize,
     tick: u64,
 }
@@ -110,7 +134,8 @@ impl Cache {
         );
         let nsets = lines / assoc;
         Cache {
-            sets: vec![Vec::with_capacity(assoc); nsets],
+            index: vec![UNTOUCHED; nsets],
+            ways: Vec::new(),
             assoc,
             tick: 0,
         }
@@ -118,22 +143,22 @@ impl Cache {
 
     /// Total capacity in lines.
     pub fn lines(&self) -> usize {
-        self.sets.len() * self.assoc
+        self.index.len() * self.assoc
     }
 
     /// Drops every line (no writebacks — the power-loss reset of a
     /// quarantined node, not an orderly flush).
     pub fn clear(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+        self.index.fill(UNTOUCHED);
+        self.ways.clear();
     }
 
     /// Every block currently resident, in no particular order.
     pub fn resident(&self) -> Vec<Addr> {
-        self.sets
+        self.ways
             .iter()
-            .flat_map(|set| set.iter().map(|l| key_to_addr(l.key)))
+            .filter(|l| l.key != FREE)
+            .map(|l| key_to_addr(l.key))
             .collect()
     }
 
@@ -141,24 +166,50 @@ impl Cache {
         // Mix the home bits in so blocks of different homes spread out.
         let k = addr.key();
         let h = k ^ (k >> 21) ^ (k >> 43);
-        (h as usize) % self.sets.len()
+        (h as usize) % self.index.len()
+    }
+
+    /// The ways of `addr`'s set, empty if the set was never filled.
+    fn set(&self, addr: Addr) -> &[Line] {
+        match self.index[self.set_of(addr)] {
+            UNTOUCHED => &[],
+            slot => {
+                let base = slot as usize * self.assoc;
+                &self.ways[base..base + self.assoc]
+            }
+        }
+    }
+
+    fn set_mut(&mut self, addr: Addr) -> &mut [Line] {
+        match self.index[self.set_of(addr)] {
+            UNTOUCHED => &mut [],
+            slot => {
+                let base = slot as usize * self.assoc;
+                &mut self.ways[base..base + self.assoc]
+            }
+        }
+    }
+
+    fn line(&self, addr: Addr) -> Option<&Line> {
+        let key = addr.key();
+        self.set(addr).iter().find(|l| l.key == key)
+    }
+
+    fn line_mut(&mut self, addr: Addr) -> Option<&mut Line> {
+        let key = addr.key();
+        self.set_mut(addr).iter_mut().find(|l| l.key == key)
     }
 
     /// The MESI state of `addr` (Invalid if absent). Does not touch LRU.
     pub fn state(&self, addr: Addr) -> CacheState {
-        let set = &self.sets[self.set_of(addr)];
-        set.iter()
-            .find(|l| l.key == addr.key())
-            .map_or(CacheState::Invalid, |l| l.state)
+        self.line(addr).map_or(CacheState::Invalid, |l| l.state)
     }
 
     /// Looks up `addr` for an access, updating LRU. Returns its state.
     pub fn touch(&mut self, addr: Addr) -> CacheState {
         self.tick += 1;
         let tick = self.tick;
-        let set_idx = self.set_of(addr);
-        let set = &mut self.sets[set_idx];
-        match set.iter_mut().find(|l| l.key == addr.key()) {
+        match self.line_mut(addr) {
             Some(l) => {
                 l.stamp = tick;
                 l.state
@@ -179,33 +230,38 @@ impl Cache {
         self.tick += 1;
         let tick = self.tick;
         let set_idx = self.set_of(addr);
-        let assoc = self.assoc;
-        let set = &mut self.sets[set_idx];
-        assert!(
-            set.iter().all(|l| l.key != addr.key()),
-            "line already present"
-        );
-        let victim = if set.len() == assoc {
-            let (i, _) = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.stamp)
-                .expect("full set is nonempty");
-            let old = set.swap_remove(i);
-            Some(Victim {
-                addr: key_to_addr(old.key),
-                dirty: old.state == CacheState::Modified,
-                value: old.value,
-            })
-        } else {
-            None
+        if self.index[set_idx] == UNTOUCHED {
+            self.index[set_idx] = (self.ways.len() / self.assoc) as u32;
+            self.ways.extend(std::iter::repeat_n(EMPTY_WAY, self.assoc));
+        }
+        let base = self.index[set_idx] as usize * self.assoc;
+        let set = &mut self.ways[base..base + self.assoc];
+        let key = addr.key();
+        assert!(set.iter().all(|l| l.key != key), "line already present");
+        let (way, victim) = match set.iter().position(|l| l.key == FREE) {
+            Some(i) => (i, None),
+            None => {
+                // Stamps are unique (every fill and touch takes a fresh
+                // tick), so the LRU way is unambiguous.
+                let (i, old) = set
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, l)| l.stamp)
+                    .expect("sets have at least one way");
+                let victim = Victim {
+                    addr: key_to_addr(old.key),
+                    dirty: old.state == CacheState::Modified,
+                    value: old.value,
+                };
+                (i, Some(victim))
+            }
         };
-        set.push(Line {
-            key: addr.key(),
+        set[way] = Line {
+            key,
             state,
             stamp: tick,
             value,
-        });
+        };
         victim
     }
 
@@ -220,10 +276,7 @@ impl Cache {
 
     /// The data held for `addr` (0 if absent).
     pub fn value(&self, addr: Addr) -> u64 {
-        let set = &self.sets[self.set_of(addr)];
-        set.iter()
-            .find(|l| l.key == addr.key())
-            .map_or(0, |l| l.value)
+        self.line(addr).map_or(0, |l| l.value)
     }
 
     /// Overwrites the data of a present line.
@@ -232,12 +285,7 @@ impl Cache {
     ///
     /// Panics if the line is absent.
     pub fn set_value(&mut self, addr: Addr, value: u64) {
-        let set_idx = self.set_of(addr);
-        self.sets[set_idx]
-            .iter_mut()
-            .find(|l| l.key == addr.key())
-            .expect("line absent")
-            .value = value;
+        self.line_mut(addr).expect("line absent").value = value;
     }
 
     /// Changes the state of a present line.
@@ -248,27 +296,24 @@ impl Cache {
     /// (use [`Cache::invalidate`] to drop a line).
     pub fn set_state(&mut self, addr: Addr, state: CacheState) {
         assert_ne!(state, CacheState::Invalid, "use invalidate()");
-        let set_idx = self.set_of(addr);
-        let line = self.sets[set_idx]
-            .iter_mut()
-            .find(|l| l.key == addr.key())
-            .expect("line absent");
-        line.state = state;
+        self.line_mut(addr).expect("line absent").state = state;
     }
 
     /// Drops `addr` from the cache if present. Returns the state it had.
     pub fn invalidate(&mut self, addr: Addr) -> CacheState {
-        let set_idx = self.set_of(addr);
-        let set = &mut self.sets[set_idx];
-        match set.iter().position(|l| l.key == addr.key()) {
-            Some(i) => set.swap_remove(i).state,
+        match self.line_mut(addr) {
+            Some(l) => {
+                let state = l.state;
+                *l = EMPTY_WAY;
+                state
+            }
             None => CacheState::Invalid,
         }
     }
 
     /// Number of resident (non-invalid) lines.
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().map(|s| s.len()).sum()
+        self.ways.iter().filter(|l| l.key != FREE).count()
     }
 }
 

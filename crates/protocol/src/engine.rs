@@ -409,6 +409,62 @@ impl Engine {
         self.observers.trace.trace()
     }
 
+    /// An independent copy of the engine in its current state — the
+    /// checkpoint a model checker backtracks to instead of rebuilding
+    /// and replaying a prefix. Every module, queue, fabric table, held
+    /// event and counter is deep-copied; in-flight payloads stay shared
+    /// (they are copy-on-write, so neither copy can see the other's
+    /// writes). The built-in statistics and trace observers are cloned
+    /// and each user observer is copied through [`Observer::fork`].
+    ///
+    /// Returns `None` when a registered observer cannot fork.
+    pub fn fork(&self) -> Option<Engine> {
+        let Engine {
+            sys,
+            params,
+            kind,
+            coherence,
+            bus,
+            shards,
+            parallel,
+            next_txn,
+            notifications,
+            update_blocks,
+            observers,
+            fault,
+            last_completed,
+            last_progress,
+            stalled,
+            ever_down,
+            lost_blocks,
+            journal,
+            steps,
+            ran_parallel,
+        } = self;
+        Some(Engine {
+            observers: observers.fork()?,
+            sys: *sys,
+            params: *params,
+            kind: *kind,
+            coherence: *coherence,
+            bus: bus.clone(),
+            shards: shards.clone(),
+            parallel: *parallel,
+            next_txn: *next_txn,
+            notifications: notifications.clone(),
+            update_blocks: update_blocks.clone(),
+            fault: *fault,
+            last_completed: *last_completed,
+            last_progress: *last_progress,
+            stalled: *stalled,
+            ever_down: ever_down.clone(),
+            lost_blocks: lost_blocks.clone(),
+            journal: journal.clone(),
+            steps: *steps,
+            ran_parallel: *ran_parallel,
+        })
+    }
+
     /// Registers an [`Observer`] to be notified of protocol events,
     /// after the built-in statistics and trace observers. Retrieve it
     /// later with [`Engine::observer`].

@@ -62,6 +62,7 @@ pub(crate) struct QueuedReq {
 }
 
 /// The memory-side protocol module of one node.
+#[derive(Clone)]
 pub struct HomeModule {
     pub(crate) node: NodeId,
     /// The directory format fresh entries are created in (the

@@ -238,6 +238,17 @@ pub trait Observer: AsAny {
     fn on_gather_scrub(&mut self, at: SimTime, home: NodeId, addr: Addr) {}
     /// A quarantined node revived and rejoined cold.
     fn on_node_rejoined(&mut self, at: SimTime, node: NodeId) {}
+
+    /// An independent copy of this observer in its current state, for
+    /// [`Engine::fork`](crate::Engine::fork): the copy must go on
+    /// exactly as the original would if both saw the same callbacks
+    /// from here on. The default, `None`, declares the observer
+    /// unforkable, and an engine carrying it then refuses to fork.
+    /// A `Clone` observer implements it as
+    /// `Some(Box::new(self.clone()))`.
+    fn fork(&self) -> Option<Box<dyn Observer>> {
+        None
+    }
 }
 
 /// The engine's observer slots: the always-on statistics and trace
@@ -247,6 +258,17 @@ pub(crate) struct ObserverSet {
     pub stats: StatsObserver,
     pub trace: TraceObserver,
     pub user: Vec<Box<dyn Observer>>,
+}
+
+impl ObserverSet {
+    /// A copy of every slot, or `None` if a user observer cannot fork.
+    pub(crate) fn fork(&self) -> Option<ObserverSet> {
+        Some(ObserverSet {
+            stats: self.stats.clone(),
+            trace: self.trace.clone(),
+            user: self.user.iter().map(|o| o.fork()).collect::<Option<_>>()?,
+        })
+    }
 }
 
 macro_rules! fan_out {
@@ -296,7 +318,7 @@ fan_out! {
 
 /// Maintains [`EngineStats`] from observer callbacks — the counters the
 /// monolithic engine used to increment inline.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct StatsObserver {
     stats: EngineStats,
 }
@@ -414,7 +436,7 @@ impl Observer for StatsObserver {
 /// Maintains the per-block event timeline ([`Trace`]) from observer
 /// callbacks, producing records identical to the pre-refactor inline
 /// tracing (same labels, same dispatch-time stamps).
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct TraceObserver {
     trace: Trace,
 }

@@ -43,6 +43,30 @@ check_smoke() {
         echo "FAIL: 4-node reduced exploration not green over 8 schedules"
         exit 1
     }
+    # The two certify explorations (the check-certify benchmark pair),
+    # pinned the same way: the explorer backtracks by restoring engine
+    # checkpoints, and any drift in these counts means a restored state
+    # differs from the state the path reached.
+    local certify_out pin
+    certify_out="$("$check" reduced --nodes 4 --blocks 1 --ops 2 \
+        --max-seconds 120)"
+    echo "$certify_out"
+    for pin in "74416 unique states, 227669 transitions" \
+        "153220 dedup hits" "all oracles green over 34 schedules"; do
+        echo "$certify_out" | grep -q "$pin" || {
+            echo "FAIL: 4-node queuing certify drifted from pin ($pin)"
+            exit 1
+        }
+    done
+    certify_out="$("$check" reduced --nodes 2 --blocks 2 --ops 2 \
+        --protocol nack --max-seconds 120)"
+    echo "$certify_out"
+    for pin in "1576926 transitions" "all oracles green over 418758 schedules"; do
+        echo "$certify_out" | grep -q "$pin" || {
+            echo "FAIL: 2-node nack certify drifted from pin ($pin)"
+            exit 1
+        }
+    done
     # The mutant gauntlet again, through the reduced/parallel explorers.
     "$check" mutants --nodes 2 --blocks 1 --ops 2 --explorer reduced \
         --max-seconds 120
