@@ -235,28 +235,6 @@ impl Histogram {
         self.counts[idx]
     }
 
-    /// Merges another histogram into this one, as if every sample of
-    /// `other` had been recorded here. Per-shard observers use this to
-    /// combine into one registry without changing exported artifacts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bucket layouts differ — merging histograms with
-    /// different widths or bucket counts would silently misbin samples.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(
-            (self.bucket_width, self.counts.len()),
-            (other.bucket_width, other.counts.len()),
-            "histogram bucket layouts differ"
-        );
-        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
-            *c += o;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
-
     /// An approximate p-quantile (`0.0..=1.0`), computed from bucket
     /// midpoints. Returns 0 for an empty histogram.
     pub fn quantile(&self, p: f64) -> u64 {
@@ -444,26 +422,6 @@ mod tests {
         let q90 = h.quantile(0.9);
         assert!(q10 <= q50 && q50 <= q90);
         assert!((400..=600).contains(&q50), "median {q50} implausible");
-    }
-
-    #[test]
-    fn histogram_merge_matches_combined_recording() {
-        let samples: Vec<u64> = (0..500).map(|i| (i * 37) % 2100).collect();
-        let mut all = Histogram::new(100, 20);
-        samples.iter().for_each(|&s| all.record(s));
-        let mut a = Histogram::new(100, 20);
-        let mut b = Histogram::new(100, 20);
-        samples[..123].iter().for_each(|&s| a.record(s));
-        samples[123..].iter().for_each(|&s| b.record(s));
-        a.merge(&b);
-        assert_eq!(a, all);
-    }
-
-    #[test]
-    #[should_panic(expected = "bucket layouts differ")]
-    fn histogram_merge_rejects_mismatched_layout() {
-        let mut a = Histogram::new(100, 20);
-        a.merge(&Histogram::new(250, 20));
     }
 
     #[test]

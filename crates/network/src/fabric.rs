@@ -263,26 +263,6 @@ impl<P: Payload> Fabric<P> {
         }
     }
 
-    /// The conservative-parallel lookahead: a lower bound on how long
-    /// *any* cross-node traversal of the fabric takes, i.e. the minimum
-    /// uncontended one-way header latency `inject + stages·hop + eject`.
-    ///
-    /// Every send path is bounded below by it: unicasts and bulk
-    /// transfers pay at least the full route (contention and data
-    /// serialization only add); hardware-multicast copies pay
-    /// `inject + multicast_setup` and then descend the whole tree, so
-    /// each copy — including self-copies — costs at least `one_way`;
-    /// gather replies either travel a full route or are absorbed at a
-    /// switch (no delivery at all). Faults never lower it either:
-    /// `Delay` adds `by_ns` on top of the computed arrival, `Duplicate`
-    /// adds a strictly later copy, and `Drop`/dead-link windows remove
-    /// deliveries — so an armed [`FaultPlan`](crate::FaultPlan) can
-    /// never make a frame arrive *earlier* than this bound (pinned by a
-    /// unit test below).
-    pub fn lookahead(&self) -> Duration {
-        self.params.one_way(self.topo.stages(), false)
-    }
-
     /// Installs a fault plan, resetting all fault decision state (per-link
     /// message counters, one-shot hit counters, pending fault events).
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
@@ -1572,129 +1552,6 @@ mod tests {
         assert!(dels.iter().all(|d| d.gather == Some(id)));
         assert_eq!(f.stats().faults_dropped.get(), 1);
         assert_eq!(f.cancel_gather(id), 3);
-    }
-
-    /// The conservative-parallel horizon guard: [`Fabric::lookahead`]
-    /// must lower-bound every cross-node delivery *even with an armed
-    /// fault plan* combining dead-link windows, probabilistic delays,
-    /// duplicates, drops, and targeted one-shot delays. A violation
-    /// would mean a delayed frame could arrive behind a shard's
-    /// committed horizon and be processed out of order.
-    #[test]
-    fn lookahead_bounds_all_deliveries_under_faults() {
-        use cenju4_des::SplitMix64;
-
-        for n in [16u16, 128] {
-            let mut f = fabric(n);
-            let look = f.lookahead();
-            assert_eq!(
-                look,
-                f.params().one_way(f.topology().stages(), false),
-                "lookahead must be the uncontended one-way header latency"
-            );
-
-            // Arm everything at once: dead links, heavy probabilistic
-            // delay/dup/drop, and targeted one-shot delays.
-            let mut plan = FaultPlan {
-                seed: 0xD15C0,
-                drop_permille: 100,
-                dup_permille: 200,
-                delay_permille: 300,
-                max_delay_ns: 7_500,
-                ..FaultPlan::default()
-            }
-            .with_link_down(LinkDown {
-                src: NodeId::new(0),
-                dst: NodeId::new(1),
-                from_ns: 0,
-                until_ns: 50_000,
-            })
-            .with_link_down(LinkDown {
-                src: NodeId::new(2),
-                dst: NodeId::new(3),
-                from_ns: 10_000,
-                until_ns: 90_000,
-            });
-            for nth in [3u64, 9, 27] {
-                plan = plan.with_one_shot(shot(None, nth, FaultKind::Delay { by_ns: 4_321 }));
-            }
-            f.set_fault_plan(plan);
-
-            let mut rng = SplitMix64::new(0xB0);
-            let mut checked = 0u32;
-            let mut check = |now: SimTime, d: &Delivery<u32>| {
-                if d.node != d.src {
-                    assert!(
-                        d.at >= now + look,
-                        "delivery {:?}->{:?} at {} beats horizon {} + {look:?}",
-                        d.src,
-                        d.node,
-                        d.at,
-                        now
-                    );
-                    checked += 1;
-                }
-            };
-
-            for i in 0..400u64 {
-                let now = SimTime::from_ns(i * 111);
-                let src = NodeId::new(rng.next_below(n as u64) as u16);
-                let dst = NodeId::new(rng.next_below(n as u64) as u16);
-                match i % 4 {
-                    0 | 1 if src != dst => {
-                        let dels = f.send_unicast(now, src, dst, i % 2 == 1, 0, WireClass::Request);
-                        dels.iter().for_each(|d| check(now, d));
-                    }
-                    2 if src != dst => {
-                        let d = f.send_bulk(now, src, dst, 256, 0);
-                        check(now, &d);
-                    }
-                    _ => {
-                        let spec = spec_of(&[1, 2, 3, n - 1]);
-                        let id = f.open_gather(src, spec);
-                        let dels = f.send_multicast(
-                            now,
-                            src,
-                            spec,
-                            false,
-                            0,
-                            Some(id),
-                            WireClass::Invalidation,
-                        );
-                        dels.iter().for_each(|d| check(now, d));
-                        // Replies re-enter the fabric at their arrival
-                        // times; any combined delivery must also respect
-                        // the horizon of the *last* contributing reply.
-                        let mut reply_at = SimTime::ZERO;
-                        let mut combined = Vec::new();
-                        let mut replied: Vec<NodeId> = Vec::new();
-                        for d in &dels {
-                            // Faulty duplicates carry the gather id too;
-                            // each expected replier answers only once.
-                            if f.is_gather_open(id)
-                                && d.gather == Some(id)
-                                && !replied.contains(&d.node)
-                            {
-                                replied.push(d.node);
-                                if let Some(c) = f.send_gather_reply(d.at, d.node, id, 0) {
-                                    reply_at = d.at;
-                                    combined.push(c);
-                                }
-                            }
-                        }
-                        combined.iter().for_each(|c| check(reply_at, c));
-                        if f.is_gather_open(id) {
-                            f.cancel_gather(id);
-                        }
-                    }
-                }
-            }
-            assert!(checked > 300, "only {checked} deliveries exercised");
-            assert!(
-                f.stats().faults_delayed.get() > 0 && f.stats().faults_dropped.get() > 0,
-                "fault plan never fired — the test lost its teeth"
-            );
-        }
     }
 
     /// With a [`Shared`] payload, the faulty duplication path must alias

@@ -137,46 +137,6 @@ impl MetricsRegistry {
         out
     }
 
-    /// Folds `other` into this registry: counters add, histograms merge
-    /// bucket-wise. Merging is commutative on the stored aggregates, so
-    /// per-shard registries from a partitioned run (one per worker or
-    /// sweep slot) collapse into exactly the registry a single-shard run
-    /// would have produced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if both registries hold a histogram for the same class
-    /// with different bucket layouts.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use cenju4_obs::MetricsRegistry;
-    ///
-    /// let mut a = MetricsRegistry::new();
-    /// a.incr("fabric.sends");
-    /// a.record_latency("load-miss", 2_620);
-    /// let mut b = MetricsRegistry::new();
-    /// b.add("fabric.sends", 2);
-    /// b.record_latency("load-miss", 3_135);
-    /// a.merge(&b);
-    /// assert_eq!(a.counter("fabric.sends"), 3);
-    /// assert_eq!(a.latency_summary("load-miss").unwrap().count, 2);
-    /// ```
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (class, h) in &other.histograms {
-            match self.histograms.get_mut(class) {
-                Some(mine) => mine.merge(h),
-                None => {
-                    self.histograms.insert(class.clone(), h.clone());
-                }
-            }
-        }
-        for (key, v) in &other.counters {
-            *self.counters.entry(key.clone()).or_default() += v;
-        }
-    }
-
     /// Raw bucket counts of every histogram, concatenated in key order —
     /// the exact-equality payload of the sweep-thread-invariance test.
     pub fn bucket_fingerprint(&self) -> Vec<(String, Vec<u64>)> {

@@ -200,7 +200,7 @@ impl HomeModule {
         let from = e.state();
         e.set_state(to);
         if from != to {
-            ctx.on_mem_transition(at, node, addr, from, to);
+            ctx.obs.on_mem_transition(at, node, addr, from, to);
         }
     }
 
@@ -267,7 +267,7 @@ impl HomeModule {
                                 params.home_fwd,
                             );
                             // Counted as deflected.
-                            ctx.on_request_deferred(at, self.node, addr, None);
+                            ctx.obs.on_request_deferred(at, self.node, addr, None);
                             ctx.send(done, self.node, master, ProtoMsg::Nack { addr, txn, kind });
                         }
                     }
@@ -308,8 +308,9 @@ impl HomeModule {
             value,
         });
         self.req_queue_hwm = self.req_queue_hwm.max(self.req_queue.len());
-        ctx.on_request_deferred(at, self.node, addr, Some(self.req_queue.len()));
-        ctx.on_phase(
+        ctx.obs
+            .on_request_deferred(at, self.node, addr, Some(self.req_queue.len()));
+        ctx.obs.on_phase(
             at,
             self.node,
             txn,
@@ -425,7 +426,7 @@ impl HomeModule {
                             expect: Expect::SlaveReply,
                         },
                     );
-                    ctx.on_phase(done, self.node, txn, PhaseKind::Forwarded);
+                    ctx.obs.on_phase(done, self.node, txn, PhaseKind::Forwarded);
                     ctx.send(
                         done,
                         self.node,
@@ -492,7 +493,7 @@ impl HomeModule {
                             expect: Expect::SlaveReply,
                         },
                     );
-                    ctx.on_phase(done, self.node, txn, PhaseKind::Forwarded);
+                    ctx.obs.on_phase(done, self.node, txn, PhaseKind::Forwarded);
                     ctx.send(
                         done,
                         self.node,
@@ -634,7 +635,7 @@ impl HomeModule {
             ctx.send(done, self.node, master, ProtoMsg::AckReply { addr, txn });
             return;
         }
-        if ctx.detector_active() {
+        if ctx.bus.detector_active() {
             let dests = spec.destinations(ctx.sys);
             if dests.iter().any(|d| ctx.node_quarantined(*d)) {
                 // Dead subscribers never ack: push only to the live
@@ -656,7 +657,7 @@ impl HomeModule {
                         },
                     },
                 );
-                ctx.on_phase(
+                ctx.obs.on_phase(
                     done,
                     self.node,
                     txn,
@@ -695,7 +696,7 @@ impl HomeModule {
                 expect: Expect::InvAcks { remaining: targets },
             },
         );
-        ctx.on_phase(
+        ctx.obs.on_phase(
             done,
             self.node,
             txn,
@@ -757,7 +758,7 @@ impl HomeModule {
         let spec = self.push_spec(ctx.sys, addr, master);
         let targets = spec.fanout(ctx.sys);
         debug_assert!(targets > 0, "invalidation with no targets");
-        if ctx.detector_active() {
+        if ctx.bus.detector_active() {
             let dests = spec.destinations(ctx.sys);
             if dests.iter().any(|d| ctx.node_quarantined(*d)) {
                 // Quarantined sharers are already as good as
@@ -769,8 +770,9 @@ impl HomeModule {
                     .into_iter()
                     .filter(|d| !ctx.node_quarantined(*d))
                     .collect();
-                ctx.on_invalidation(at, self.node, addr, alive.len() as u32);
-                ctx.on_phase(
+                ctx.obs
+                    .on_invalidation(at, self.node, addr, alive.len() as u32);
+                ctx.obs.on_phase(
                     at,
                     self.node,
                     txn,
@@ -809,8 +811,8 @@ impl HomeModule {
                 return;
             }
         }
-        ctx.on_invalidation(at, self.node, addr, targets);
-        ctx.on_phase(
+        ctx.obs.on_invalidation(at, self.node, addr, targets);
+        ctx.obs.on_phase(
             at,
             self.node,
             txn,
@@ -884,13 +886,13 @@ impl HomeModule {
                     // transaction; the real reply crossed the
                     // synthesized one in flight. The data (if any) was
                     // salvaged into memory above.
-                    assert!(ctx.detector_active(), "slave reply without pending txn");
+                    assert!(ctx.bus.detector_active(), "slave reply without pending txn");
                     return;
                 };
                 if p.txn != txn {
                     // A stale reply for an older, scrub-completed
                     // transaction on the same block.
-                    assert!(ctx.detector_active(), "slave reply txn mismatch");
+                    assert!(ctx.bus.detector_active(), "slave reply txn mismatch");
                     self.pending.insert(addr, p);
                     return;
                 }
@@ -945,7 +947,7 @@ impl HomeModule {
                 self.drain_queue(ctx, done, addr);
             }
             ProtoMsg::InvAck { addr, txn, acks } => {
-                let detector = ctx.detector_active();
+                let detector = ctx.bus.detector_active();
                 let Some(p) = self.pending.get_mut(&addr) else {
                     // The quarantine scrub (or its synthesized ack)
                     // already completed this gather; the real combined
@@ -957,7 +959,8 @@ impl HomeModule {
                     assert!(detector, "inv ack txn mismatch");
                     return;
                 }
-                ctx.on_phase(at, self.node, txn, PhaseKind::GatherCombine { acks });
+                ctx.obs
+                    .on_phase(at, self.node, txn, PhaseKind::GatherCombine { acks });
                 let finished = match &mut p.expect {
                     Expect::InvAcks { remaining } => {
                         // A synthesized scrub ack can cross a real
@@ -1080,7 +1083,8 @@ impl HomeModule {
                 break;
             }
             self.req_queue.pop_front();
-            ctx.on_phase(at, self.node, head.txn, PhaseKind::ReservationWait);
+            ctx.obs
+                .on_phase(at, self.node, head.txn, PhaseKind::ReservationWait);
             self.process_request(
                 ctx,
                 at,

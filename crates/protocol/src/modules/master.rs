@@ -73,7 +73,7 @@ impl MasterModule {
         let from = self.cache.state(addr);
         self.cache.set_state(addr, to);
         if from != to {
-            ctx.on_cache_transition(at, self.node, addr, from, to);
+            ctx.obs.on_cache_transition(at, self.node, addr, from, to);
         }
     }
 
@@ -85,7 +85,8 @@ impl MasterModule {
     ) -> CacheState {
         let from = self.cache.invalidate(addr);
         if from != CacheState::Invalid {
-            ctx.on_cache_transition(at, self.node, addr, from, CacheState::Invalid);
+            ctx.obs
+                .on_cache_transition(at, self.node, addr, from, CacheState::Invalid);
         }
         from
     }
@@ -101,7 +102,8 @@ impl MasterModule {
         value: u64,
     ) -> Option<Victim> {
         let victim = self.cache.fill_value(addr, state, value);
-        ctx.on_cache_transition(at, self.node, addr, CacheState::Invalid, state);
+        ctx.obs
+            .on_cache_transition(at, self.node, addr, CacheState::Invalid, state);
         victim
     }
 
@@ -183,7 +185,7 @@ impl MasterModule {
                     },
                 );
                 self.arm_txn_timer(ctx, at, txn, 0);
-                ctx.on_request_issued(at, self.node, kind, false);
+                ctx.obs.on_request_issued(at, self.node, kind, false);
                 // Dragon write-throughs carry the store data on the wire.
                 let value = if kind == ReqKind::Update { txn + 1 } else { 0 };
                 ctx.send(
@@ -240,7 +242,7 @@ impl MasterModule {
                     None
                 };
                 self.writeback_victim(ctx, at + params.hit, victim);
-                ctx.on_l3_fill(at, self.node, addr);
+                ctx.obs.on_l3_fill(at, self.node, addr);
                 ctx.complete(
                     self.node,
                     txn,
@@ -277,7 +279,7 @@ impl MasterModule {
                     MemOp::Load => ReqKind::ReadShared,
                     MemOp::Store => ReqKind::Update,
                 };
-                ctx.on_request_issued(at, self.node, kind, false);
+                ctx.obs.on_request_issued(at, self.node, kind, false);
                 ctx.send(
                     at + params.issue,
                     self.node,
@@ -300,7 +302,7 @@ impl MasterModule {
             let Some(t) = self.outstanding.get(&txn) else {
                 // Abandoned (escalation timeout or a dead home) between
                 // the nack and this retry firing.
-                assert!(ctx.armed(), "retry for unknown txn");
+                assert!(ctx.bus.armed(), "retry for unknown txn");
                 return;
             };
             (t.op, t.addr)
@@ -316,7 +318,7 @@ impl MasterModule {
         } else {
             ctx.protocol.request_kind(op, state)
         };
-        ctx.on_request_issued(at, self.node, kind, true);
+        ctx.obs.on_request_issued(at, self.node, kind, true);
         let value = if kind == ReqKind::Update { txn + 1 } else { 0 };
         ctx.send(
             at + params.issue,
@@ -341,10 +343,10 @@ impl MasterModule {
     /// retransmitting — so it self-drains (a no-op, no re-arm) once the
     /// transaction graduates.
     fn arm_txn_timer(&mut self, ctx: &mut Ctx, at: SimTime, txn: TxnId, backoffs: u32) {
-        if !ctx.armed() {
+        if !ctx.bus.armed() {
             return;
         }
-        let base = ctx.recovery().txn_timeout;
+        let base = ctx.bus.recovery().txn_timeout;
         let span = base.as_ns().saturating_mul(1u64 << backoffs.min(20));
         // Decorrelated jitter on re-arms only: retriers that timed out
         // together spread over [span/2, span] instead of resynchronizing
@@ -361,7 +363,7 @@ impl MasterModule {
             let mut rng = SplitMix64::new(mix);
             span / 2 + rng.next_below(span / 2 + 1)
         };
-        ctx.schedule(
+        ctx.bus.schedule(
             at + Duration::from_ns(timeout),
             BusMsg::TxnTimer {
                 node: self.node,
@@ -379,7 +381,7 @@ impl MasterModule {
         at: SimTime,
         txn: TxnId,
     ) -> Option<RecoveryError> {
-        let budget = ctx.recovery().max_txn_backoffs;
+        let budget = ctx.bus.recovery().max_txn_backoffs;
         let Some(t) = self.outstanding.get_mut(&txn) else {
             return None; // graduated — the timer self-drains
         };
@@ -421,8 +423,9 @@ impl MasterModule {
     /// actual reply arriving late after all) is discarded instead of
     /// being treated as a protocol bug.
     fn discard_unknown_txn(&self, ctx: &mut Ctx, at: SimTime) -> bool {
-        if ctx.armed() {
-            ctx.on_link_discard(at, self.node, self.node, "unknown-txn");
+        if ctx.bus.armed() {
+            ctx.obs
+                .on_link_discard(at, self.node, self.node, "unknown-txn");
             true
         } else {
             false
@@ -445,7 +448,7 @@ impl MasterModule {
                 if !self.outstanding.contains_key(&txn) && self.discard_unknown_txn(ctx, at) {
                     return;
                 }
-                ctx.on_phase(at, self.node, txn, PhaseKind::Reply);
+                ctx.obs.on_phase(at, self.node, txn, PhaseKind::Reply);
                 let done = ctx.begin(
                     &mut self.input_q,
                     self.node,
@@ -484,7 +487,7 @@ impl MasterModule {
                 if !self.outstanding.contains_key(&txn) && self.discard_unknown_txn(ctx, at) {
                     return;
                 }
-                ctx.on_phase(at, self.node, txn, PhaseKind::Reply);
+                ctx.obs.on_phase(at, self.node, txn, PhaseKind::Reply);
                 let done = ctx.begin(
                     &mut self.input_q,
                     self.node,
@@ -552,7 +555,7 @@ impl MasterModule {
                     .get_mut(&txn)
                     .expect("nack for unknown txn");
                 t.retries += 1;
-                ctx.schedule(
+                ctx.bus.schedule(
                     at + params.nack_retry,
                     BusMsg::Retry {
                         node: self.node,
@@ -602,7 +605,7 @@ impl MasterModule {
 
     fn drain_backlog(&mut self, ctx: &mut Ctx, at: SimTime) {
         if let Some((op, addr, txn, _issued)) = self.backlog.pop_front() {
-            ctx.schedule(
+            ctx.bus.schedule(
                 at,
                 BusMsg::Access {
                     node: self.node,

@@ -126,7 +126,8 @@ impl SlaveModule {
                     ctx.send(done, self.node, addr.home(), ack);
                 } else {
                     let id = gather.expect("multicast update without gather id");
-                    ctx.on_phase(done, self.node, txn, PhaseKind::GatherContribute);
+                    ctx.obs
+                        .on_phase(done, self.node, txn, PhaseKind::GatherContribute);
                     ctx.gather_reply(done, self.node, id, ack);
                 }
             }
@@ -153,7 +154,8 @@ impl SlaveModule {
                     ctx.send(done, self.node, addr.home(), ack);
                 } else {
                     let id = gather.expect("multicast invalidation without gather id");
-                    ctx.on_phase(done, self.node, txn, PhaseKind::GatherContribute);
+                    ctx.obs
+                        .on_phase(done, self.node, txn, PhaseKind::GatherContribute);
                     ctx.gather_reply(done, self.node, id, ack);
                 }
             }

@@ -1,14 +1,16 @@
-//! Bit-identity guard for the conservative-parallel executor.
+//! Bit-identity guard for where parallelism lives: independent
+//! simulations running concurrently on [`sweep_on`] workers — the same
+//! shape as the `cenju4-serve` query pool and the checker frontier.
 //!
-//! The tentpole promise of the parallel refactor is that worker count is
+//! Each simulation is single-threaded, so the worker count must be
 //! *invisible*: every artifact the engine produces — the protocol trace,
 //! the `EngineStats`/`NetStats` counters, the driver notification
 //! stream, and the observability exports (span fingerprints, Chrome
-//! trace JSON, metrics JSON) — must be byte-identical at any worker
-//! count. These tests replay the golden-hotpath scenarios and a dense
-//! window-stress workload at workers = 1, 2, 4, 8, with the recovery
-//! layer unarmed (the parallel window path) and armed against an inert
-//! plan (the sequential-fallback path), and compare everything.
+//! trace JSON, metrics JSON) — must be byte-identical whether a scenario
+//! runs alone on the calling thread or as one of several concurrent
+//! copies at workers = 1, 2, 4, 8. These tests replay the golden-hotpath
+//! scenarios and a dense-burst workload with the recovery layer unarmed
+//! and armed against an inert plan, and compare everything.
 
 use cenju4::obs::chrome_trace_json;
 use cenju4::prelude::*;
@@ -18,8 +20,7 @@ fn node(n: u16) -> NodeId {
 }
 
 /// Armed-but-inert plan (see `golden_hotpath.rs`): sequences every frame
-/// and runs recovery timers without ever perturbing a delivery. Armed
-/// runs are ineligible for parallel windows, so this pins the fallback.
+/// and runs recovery timers without ever perturbing a delivery.
 fn inert_plan() -> FaultPlan {
     FaultPlan::none().with_one_shot(OneShotFault {
         link: Some((node(0), node(1))),
@@ -29,13 +30,10 @@ fn inert_plan() -> FaultPlan {
     })
 }
 
-/// An engine with `workers` workers and an aggressive windowing
-/// threshold, so even sparse scenarios open parallel windows.
-fn engine(nodes: u16, workers: usize, armed: bool) -> Engine {
-    let mut builder = SystemConfig::builder(nodes).parallel(ParallelConfig {
-        workers,
-        min_batch: 2,
-    });
+/// A traced engine with a span collector attached, optionally with the
+/// recovery layer armed.
+fn engine(nodes: u16, armed: bool) -> Engine {
+    let mut builder = SystemConfig::builder(nodes);
     if armed {
         builder = builder
             .recovery(RecoveryParams::default())
@@ -49,8 +47,8 @@ fn engine(nodes: u16, workers: usize, armed: bool) -> Engine {
     eng
 }
 
-/// Every artifact that must not depend on the worker count, rendered to
-/// one comparable string.
+/// Every artifact that must not depend on the sweep worker count,
+/// rendered to one comparable string.
 fn artifacts(eng: &Engine, trace_blocks: &[Addr], notes: &[Notification]) -> String {
     let mut out = String::new();
     for &a in trace_blocks {
@@ -100,8 +98,8 @@ fn artifacts(eng: &Engine, trace_blocks: &[Addr], notes: &[Notification]) -> Str
 }
 
 /// Figure 10 shape: warm four sharers, then store from a sharer.
-fn fig10(workers: usize, armed: bool) -> String {
-    let mut eng = engine(16, workers, armed);
+fn fig10(armed: bool) -> String {
+    let mut eng = engine(16, armed);
     let a = Addr::new(node(0), 1);
     let mut notes = Vec::new();
     for s in 1..=4 {
@@ -114,8 +112,8 @@ fn fig10(workers: usize, armed: bool) -> String {
 }
 
 /// Figure 12 shape: a seeded mixed workload on 64 nodes.
-fn fig12(workers: usize, armed: bool) -> String {
-    let mut eng = engine(64, workers, armed);
+fn fig12(armed: bool) -> String {
+    let mut eng = engine(64, armed);
     let mut rng = SplitMix64::new(0xF1612);
     let blocks: Vec<Addr> = (0..8)
         .map(|b| Addr::new(node((b % 2) as u16), 1 + b / 2))
@@ -134,13 +132,12 @@ fn fig12(workers: usize, armed: bool) -> String {
     artifacts(&eng, &[blocks[0], blocks[5]], &notes)
 }
 
-/// The window-stress shape: every node issues a burst of loads and
-/// stores at t = 0 — private blocks, contended shared blocks, and
-/// cross-node user messages all in flight at once, so the queue stays
-/// dense and the run executes almost entirely inside parallel windows
+/// The dense-burst shape: every node issues a burst of loads and stores
+/// at t = 0 — private blocks, contended shared blocks, and cross-node
+/// user messages all in flight at once, so the queue stays dense
 /// (including backlogged accesses, retries, and same-time local events).
-fn batch(nodes: u16, workers: usize, armed: bool) -> String {
-    let mut eng = engine(nodes, workers, armed);
+fn batch(nodes: u16, armed: bool) -> String {
+    let mut eng = engine(nodes, armed);
     let mut rng = SplitMix64::new(0xBA7C4 + nodes as u64);
     let shared: Vec<Addr> = (0..4).map(|b| Addr::new(node(b), 1)).collect();
     for n in 0..nodes {
@@ -176,86 +173,47 @@ fn batch(nodes: u16, workers: usize, armed: bool) -> String {
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-#[test]
-fn fig10_invariant_under_worker_count() {
-    let base = fig10(1, false);
+/// Runs `w` concurrent copies of `scenario` on `w` sweep workers for
+/// each worker count and checks every copy against one run on the
+/// calling thread.
+fn assert_invariant(name: &str, scenario: impl Fn() -> String + Sync) {
+    let base = scenario();
     for w in WORKER_COUNTS {
-        assert_eq!(fig10(w, false), base, "fig10 diverged at workers={w}");
-    }
-}
-
-#[test]
-fn fig10_invariant_under_worker_count_armed() {
-    let base = fig10(1, true);
-    for w in WORKER_COUNTS {
-        assert_eq!(fig10(w, true), base, "armed fig10 diverged at workers={w}");
-    }
-}
-
-#[test]
-fn fig12_invariant_under_worker_count() {
-    let base = fig12(1, false);
-    for w in WORKER_COUNTS {
-        assert_eq!(fig12(w, false), base, "fig12 diverged at workers={w}");
-    }
-}
-
-#[test]
-fn fig12_invariant_under_worker_count_armed() {
-    let base = fig12(1, true);
-    for w in WORKER_COUNTS {
-        assert_eq!(fig12(w, true), base, "armed fig12 diverged at workers={w}");
-    }
-}
-
-#[test]
-fn dense_batch_invariant_under_worker_count() {
-    for nodes in [16u16, 64] {
-        let base = batch(nodes, 1, false);
-        for w in WORKER_COUNTS {
-            assert_eq!(
-                batch(nodes, w, false),
-                base,
-                "batch({nodes}) diverged at workers={w}"
-            );
+        let copies = vec![(); w];
+        for (i, got) in sweep_on(w, &copies, |_| scenario()).iter().enumerate() {
+            assert!(*got == base, "{name} copy {i} diverged at workers={w}");
         }
     }
 }
 
 #[test]
-fn dense_batch_invariant_under_worker_count_armed() {
-    let base = batch(16, 1, true);
-    for w in WORKER_COUNTS {
-        assert_eq!(
-            batch(16, w, true),
-            base,
-            "armed batch diverged at workers={w}"
-        );
+fn fig10_invariant_under_worker_count() {
+    assert_invariant("fig10", || fig10(false));
+}
+
+#[test]
+fn fig10_invariant_under_worker_count_armed() {
+    assert_invariant("armed fig10", || fig10(true));
+}
+
+#[test]
+fn fig12_invariant_under_worker_count() {
+    assert_invariant("fig12", || fig12(false));
+}
+
+#[test]
+fn fig12_invariant_under_worker_count_armed() {
+    assert_invariant("armed fig12", || fig12(true));
+}
+
+#[test]
+fn dense_batch_invariant_under_worker_count() {
+    for nodes in [16u16, 64] {
+        assert_invariant(&format!("batch({nodes})"), || batch(nodes, false));
     }
 }
 
-/// The eligibility gate itself: armed recovery, controlled schedules,
-/// jitter, and emulated multicast must all force the sequential loop.
 #[test]
-fn ineligible_configurations_fall_back_to_sequential() {
-    let eng = engine(16, 4, false);
-    assert!(eng.parallel_eligible());
-
-    assert!(!engine(16, 1, false).parallel_eligible(), "one worker");
-    assert!(!engine(16, 4, true).parallel_eligible(), "armed recovery");
-
-    let cfg = SystemConfig::builder(16)
-        .parallel(ParallelConfig::with_workers(4))
-        .without_multicast()
-        .build()
-        .unwrap();
-    assert!(!cfg.build().parallel_eligible(), "emulated multicast");
-
-    let mut eng = engine(16, 4, false);
-    eng.enable_timing_jitter(7, 10);
-    assert!(!eng.parallel_eligible(), "timing jitter");
-
-    let mut eng = engine(16, 4, false);
-    eng.enable_controlled_schedule();
-    assert!(!eng.parallel_eligible(), "controlled schedule");
+fn dense_batch_invariant_under_worker_count_armed() {
+    assert_invariant("armed batch", || batch(16, true));
 }
